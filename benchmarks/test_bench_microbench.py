@@ -235,9 +235,10 @@ def test_bench_vectorized_batch(emit, kernel_record):
     """100-seed x 3-policy Monte-Carlo batch, warm best-of.
 
     Three timings over the same prebuilt traces: the scalar loop
-    (``fast=False``), the serial kernel (``fast=True, workers=1``), and
-    the full batch path (``fast=True, workers=`` every core, which
-    ships per-seed plans through shared memory).  Gates: the serial
+    (``fast=False``), the serial per-seed kernel loop
+    (``_simulate_batch_loop``), and the full batch path (``fast=True,
+    workers=`` every core, which shards the seeds into one in-process
+    batch per worker).  Gates: the serial
     kernel must hold >= 12x everywhere; the full path must reach >= 50x
     where the hardware can deliver it (>= 4 usable cores -- the same
     self-gating convention as the run_seeds bench above; a 1-core box
@@ -247,7 +248,7 @@ def test_bench_vectorized_batch(emit, kernel_record):
     whichever path runs second.
     """
     from repro.scenario import get_scenario
-    from repro.sim.vectorized import simulate_batch
+    from repro.sim.vectorized import _simulate_batch_loop, simulate_batch
 
     sc = get_scenario("exp1-conv-dpm")
     seeds = list(range(100))
@@ -256,9 +257,7 @@ def test_bench_vectorized_batch(emit, kernel_record):
     workers = resolve_workers(0)
 
     scalar = simulate_batch(sc, seeds, policies, fast=False, traces=traces)
-    fast = simulate_batch(
-        sc, seeds, policies, fast=True, traces=traces, stacked=False
-    )
+    fast = _simulate_batch_loop(sc, seeds, policies, fast=True, traces=traces)
     assert fast == scalar
     if workers > 1:
         parallel = simulate_batch(
@@ -271,8 +270,8 @@ def test_bench_vectorized_batch(emit, kernel_record):
         repeats=2,
     )
     t_fast = _best_wall(
-        lambda: simulate_batch(
-            sc, seeds, policies, fast=True, traces=traces, stacked=False
+        lambda: _simulate_batch_loop(
+            sc, seeds, policies, fast=True, traces=traces
         ),
         repeats=5,
     )
@@ -325,7 +324,7 @@ def test_bench_vectorized_batch_fc(emit, kernel_record):
     contract.
     """
     from repro.scenario import get_scenario
-    from repro.sim.vectorized import simulate_batch
+    from repro.sim.vectorized import _simulate_batch_loop, simulate_batch
 
     sc = get_scenario("exp1-conv-dpm")
     seeds = list(range(100))
@@ -333,9 +332,7 @@ def test_bench_vectorized_batch_fc(emit, kernel_record):
     traces = {s: sc.build_trace(s) for s in seeds}
 
     scalar = simulate_batch(sc, seeds, policies, fast=False, traces=traces)
-    fast = simulate_batch(
-        sc, seeds, policies, fast=True, traces=traces, stacked=False
-    )
+    fast = _simulate_batch_loop(sc, seeds, policies, fast=True, traces=traces)
     assert fast == scalar
 
     t_scalar = _best_wall(
@@ -343,8 +340,8 @@ def test_bench_vectorized_batch_fc(emit, kernel_record):
         repeats=2,
     )
     t_fast = _best_wall(
-        lambda: simulate_batch(
-            sc, seeds, policies, fast=True, traces=traces, stacked=False
+        lambda: _simulate_batch_loop(
+            sc, seeds, policies, fast=True, traces=traces
         ),
         repeats=3,
     )
@@ -381,14 +378,14 @@ def test_bench_vectorized_batch_stacked(emit, kernel_record):
     single-policy sweeps ratio higher than multi-policy ones.
     """
     from repro.scenario import get_scenario
-    from repro.sim.vectorized import simulate_batch
+    from repro.sim.vectorized import _simulate_batch_loop, simulate_batch
 
     sc = get_scenario("exp2-conv-dpm")
     seeds = list(range(1000))
     policies = ["conv-dpm", "asap-dpm", "static:0.8"]
 
-    stacked = simulate_batch(sc, seeds, policies, stacked=True)
-    loop = simulate_batch(sc, seeds, policies, stacked=False)
+    stacked = simulate_batch(sc, seeds, policies)
+    loop = _simulate_batch_loop(sc, seeds, policies)
     assert stacked == loop
 
     # Interleave the two sides round-by-round (with a gc sweep before
@@ -401,11 +398,11 @@ def test_bench_vectorized_batch_stacked(emit, kernel_record):
     for _ in range(3):
         gc.collect()
         t0 = time.perf_counter()
-        simulate_batch(sc, seeds, policies, stacked=False)
+        _simulate_batch_loop(sc, seeds, policies)
         t_loop = min(t_loop, time.perf_counter() - t0)
         gc.collect()
         t0 = time.perf_counter()
-        simulate_batch(sc, seeds, policies, stacked=True)
+        simulate_batch(sc, seeds, policies)
         t_stacked = min(t_stacked, time.perf_counter() - t0)
     ratio = t_loop / t_stacked
     data = {
@@ -443,14 +440,14 @@ def test_bench_fc_stacked(emit, kernel_record):
     import gc
 
     from repro.scenario import get_scenario
-    from repro.sim.vectorized import simulate_batch
+    from repro.sim.vectorized import _simulate_batch_loop, simulate_batch
 
     sc = get_scenario("exp2-conv-dpm")
     seeds = list(range(1000))
     policies = ["fc-dpm"]
 
-    stacked = simulate_batch(sc, seeds, policies, stacked=True)
-    loop = simulate_batch(sc, seeds, policies, stacked=False)
+    stacked = simulate_batch(sc, seeds, policies)
+    loop = _simulate_batch_loop(sc, seeds, policies)
     assert stacked == loop
 
     t_loop = float("inf")
@@ -458,11 +455,11 @@ def test_bench_fc_stacked(emit, kernel_record):
     for _ in range(3):
         gc.collect()
         t0 = time.perf_counter()
-        simulate_batch(sc, seeds, policies, stacked=False)
+        _simulate_batch_loop(sc, seeds, policies)
         t_loop = min(t_loop, time.perf_counter() - t0)
         gc.collect()
         t0 = time.perf_counter()
-        simulate_batch(sc, seeds, policies, stacked=True)
+        simulate_batch(sc, seeds, policies)
         t_stacked = min(t_stacked, time.perf_counter() - t0)
     ratio = t_loop / t_stacked
     data = {

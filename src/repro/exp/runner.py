@@ -13,9 +13,11 @@
 * **Batch where the kernel can.**  ``scenario``-kind tasks group into
   (scenario x seeds x policies) blocks routed through one
   :func:`~repro.sim.vectorized.simulate_batch` call each (shared plan
-  compilation, stacked 2D kernel, shm fan-out); every other kind fans
-  out through :class:`~repro.runtime.parallel.ParallelMap`.  Both paths
-  are bit-identical to a serial per-cell loop.
+  compilation, stacked 2D kernel; with ``workers > 1`` the seeds shard
+  into contiguous blocks, one in-process batch per pool worker); every
+  other kind fans out through
+  :class:`~repro.runtime.parallel.ParallelMap`.  Both paths are
+  bit-identical to a serial per-cell loop.
 * **Shard across hosts.**  ``shard=(i, n)`` takes the tasks with
   ``index % n == i - 1`` (round-robin, so heterogeneous kinds spread
   evenly) and persists into a shard-private sidecar;
@@ -389,8 +391,9 @@ def run_experiment(
         :class:`ResultCache` when ``store`` is given, and to a disabled
         (never hits, never writes) cache when ephemeral.
     workers:
-        Process fan-out, forwarded to ``simulate_batch`` /
-        ``ParallelMap``.  Results are bit-identical for any value.
+        Process fan-out, forwarded to ``simulate_batch`` (which shards
+        each batch's seeds across workers) and ``ParallelMap``.  Results
+        are bit-identical for any value.
     shard:
         ``"i/n"`` (1-based) or ``(i, n)``: execute only this slice of
         the task list and persist into a shard sidecar; fold the

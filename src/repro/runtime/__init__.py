@@ -9,7 +9,9 @@ reproduction into a scalable experiment engine:
 :mod:`repro.runtime.parallel`
     :class:`ParallelMap` -- ordered, chunked fan-out over a
     ``ProcessPoolExecutor`` with a graceful serial fallback and
-    per-task timing statistics.
+    per-task timing statistics.  Every process fan-out goes through it,
+    ``simulate_batch``'s seed shards included; workers receive their
+    inputs as pickled task arguments.
 :mod:`repro.runtime.memo`
     In-memory memoization of the hot closed-form paths: a keyed cache
     for :func:`repro.core.optimizer.solve_slot` and an

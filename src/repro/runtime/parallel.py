@@ -70,26 +70,6 @@ class BrokenPoolError(RuntimeError):
             f"(items {lo}:{hi}): [{preview}]"
         )
 
-#: Per-process shared payload installed by ``ParallelMap.map(shared=...)``.
-_SHARED: object | None = None
-
-
-def _set_shared(payload: object | None) -> None:
-    """Install the shared payload (pool-worker initializer target)."""
-    global _SHARED
-    _SHARED = payload
-
-
-def get_shared() -> object | None:
-    """The payload passed as ``ParallelMap.map(..., shared=...)``, if any.
-
-    Workers read it instead of receiving a copy per chunk: process
-    dispatch ships it exactly once per worker (via the pool
-    initializer), and serial execution installs it around the map call.
-    Returns None outside a ``shared=`` map.
-    """
-    return _SHARED
-
 
 def resolve_workers(workers: int | None) -> int:
     """Normalize a ``workers=`` argument to an effective worker count.
@@ -346,17 +326,10 @@ class ParallelMap:
         self._record_chunk(chunk)
         return chunk.results
 
-    def _map_processes(
-        self, fn: Callable, items: Sequence, shared: object | None = None
-    ) -> list:
+    def _map_processes(self, fn: Callable, items: Sequence) -> list:
         slices = _chunk_slices(len(items), self.workers * self.chunks_per_worker)
         trace_pid = os.getpid() if OBS.enabled else None
-        pool_kwargs = {}
-        if shared is not None:
-            # The payload rides the pool initializer: pickled once per
-            # worker process instead of once per submitted chunk.
-            pool_kwargs = {"initializer": _set_shared, "initargs": (shared,)}
-        with ProcessPoolExecutor(max_workers=self.workers, **pool_kwargs) as pool:
+        with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = [
                 pool.submit(_run_chunk, fn, items[lo:hi], i, trace_pid)
                 for i, (lo, hi) in enumerate(slices)
@@ -388,53 +361,39 @@ class ParallelMap:
             self._record_chunk(chunk)
         return results
 
-    def map(
-        self, fn: Callable, items: Iterable, shared: object | None = None
-    ) -> list:
+    def map(self, fn: Callable, items: Iterable) -> list:
         """Apply ``fn`` to every item; results in input order.
 
         Bit-identical to ``[fn(x) for x in items]``: the pool only
         changes *where* each call runs.  Exceptions raised by ``fn``
         propagate; pool-infrastructure failures retry the whole map
         serially (recorded in ``stats.fallback_reason``).
-
-        ``shared`` is an optional read-only payload made available to
-        ``fn`` through :func:`get_shared` -- shipped once per worker
-        process rather than once per chunk (and simply installed
-        in-process for serial execution).
         """
         item_list = list(items)
         self.stats = MapStats(n_tasks=len(item_list))
         t0 = time.perf_counter()
-        previous_shared = get_shared()
-        _set_shared(shared)
-        try:
-            with OBS.span(
-                "parallel.map", n_tasks=len(item_list), workers=self.workers
-            ) as span:
-                if not item_list:
-                    results = []
-                elif self.workers <= 1:
+        with OBS.span(
+            "parallel.map", n_tasks=len(item_list), workers=self.workers
+        ) as span:
+            if not item_list:
+                results = []
+            elif self.workers <= 1:
+                results = self._map_serial(fn, item_list)
+            else:
+                try:
+                    results = self._map_processes(fn, item_list)
+                except BrokenPoolError as exc:
+                    if OBS.enabled:
+                        OBS.metrics.counter("runtime.parallel.broken_pool").inc()
+                    if not self.serial_fallback:
+                        raise
+                    self._drop_partial_records(exc)
                     results = self._map_serial(fn, item_list)
-                else:
-                    try:
-                        results = self._map_processes(fn, item_list, shared)
-                    except BrokenPoolError as exc:
-                        if OBS.enabled:
-                            OBS.metrics.counter(
-                                "runtime.parallel.broken_pool"
-                            ).inc()
-                        if not self.serial_fallback:
-                            raise
-                        self._drop_partial_records(exc)
-                        results = self._map_serial(fn, item_list)
-                    except _POOL_FAILURES as exc:
-                        if not self.serial_fallback:
-                            raise
-                        self._drop_partial_records(exc)
-                        results = self._map_serial(fn, item_list)
-        finally:
-            _set_shared(previous_shared)
+                except _POOL_FAILURES as exc:
+                    if not self.serial_fallback:
+                        raise
+                    self._drop_partial_records(exc)
+                    results = self._map_serial(fn, item_list)
         self.stats.n_tasks = len(item_list)
         self.stats.elapsed = time.perf_counter() - t0
         if OBS.enabled:

@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Integer codes for :class:`Segment` kinds, shared with the vectorized
 #: kernels (``repro.sim.vectorized`` / ``repro.sim.stacked``) so plan
-#: columns round-trip through shared memory without string arrays.
+#: columns stay plain int8 arrays instead of string arrays.
 KIND_CODES = {"standby": 0, "pd": 1, "sleep": 2, "wu": 3, "run": 4}
 KIND_NAMES = ("standby", "pd", "sleep", "wu", "run")
 

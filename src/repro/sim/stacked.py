@@ -311,8 +311,8 @@ def stack_plans(plans: Sequence[TraceArrays]) -> StackedPlans:
     The concatenated ``flat`` plan is rebuilt by offsetting each row's
     index columns -- exact integer arithmetic, so carving it back up
     (or padding it) reproduces the inputs bit for bit.  Used by the
-    equivalence tests and the shared-memory transport; the batch driver
-    plans the concatenation directly instead.
+    equivalence tests; the batch driver plans the concatenation
+    directly instead.
     """
     counts = np.array([p.n_slots for p in plans], dtype=np.intp)
     seg_counts = np.array([p.n_segments for p in plans], dtype=np.intp)

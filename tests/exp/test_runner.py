@@ -66,6 +66,25 @@ class TestEphemeralRun:
         ).by_cell()
         assert serial == fanned
 
+    def test_forced_pool_merges_child_route_counts(self, monkeypatch):
+        # Drop the core-count cap so workers=2 shards into two real
+        # pool workers; each runs its block on the stacked route, and
+        # the children's counters merge into the parent registry.
+        from repro.obs import observing
+        from repro.runtime import parallel as parallel_mod
+
+        monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: w)
+        grouped = scenario_batch_spec(
+            "pool", "exp2-fc-dpm", [0, 1, 2, 3], policies=("conv-dpm", "fc-dpm")
+        )
+        with observing() as obs:
+            run = run_experiment(grouped, workers=2)
+            snapshot = obs.metrics.snapshot()
+        assert run.executed == 8 and run.failed == 0
+        assert snapshot["sim.batch_route{path=parallel}"]["value"] == 1
+        assert snapshot["sim.batch_route{path=stacked}"]["value"] == 2
+        assert snapshot["sim.batch_rows_completed"]["value"] == 4
+
     def test_ephemeral_run_leaves_no_state(self, spec, tmp_path):
         run_experiment(spec)
         # conftest redirects FCDPM_CACHE_DIR into tmp_path's sibling; an

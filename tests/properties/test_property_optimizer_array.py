@@ -33,8 +33,9 @@ from repro.fuelcell.efficiency import (
     LinearSystemEfficiency,
 )
 from repro.scenario import get_scenario
-from repro.sim.vectorized import simulate_batch
+from repro.sim.vectorized import _simulate_batch_loop
 from repro.workload.trace import LoadTrace, TaskSlot
+from tests.batch_routes import run_stacked
 
 MODELS = [LinearSystemEfficiency(), ConstantSystemEfficiency()]
 
@@ -259,7 +260,7 @@ def _fc_state(mgr):
     }
 
 
-def _run_spied(scenario, seeds, policies, **kwargs):
+def _run_spied(run, scenario, seeds, policies, **kwargs):
     """Run a batch recording every built manager; capture any raise."""
     managers = {}
     original = vectorized._policy_manager
@@ -273,7 +274,7 @@ def _run_spied(scenario, seeds, policies, **kwargs):
     error = None
     results = None
     try:
-        results = simulate_batch(scenario, seeds, policies, **kwargs)
+        results = run(scenario, seeds, policies, **kwargs)
     except SimulationError as exc:
         error = (type(exc), str(exc))
     finally:
@@ -293,11 +294,11 @@ def test_fc_stacked_matches_loop_every_field_and_end_state(traces):
     seeds = list(range(len(traces)))
     built = {s: LoadTrace(t) for s, t in zip(seeds, traces)}
     a, err_a, mgrs_a = _run_spied(
-        sc, seeds, ["fc-dpm"], traces=built, stacked=True,
+        run_stacked, sc, seeds, ["fc-dpm"], traces=built,
         max_deficit_fraction=1.0,
     )
     b, err_b, mgrs_b = _run_spied(
-        sc, seeds, ["fc-dpm"], traces=built, stacked=False,
+        _simulate_batch_loop, sc, seeds, ["fc-dpm"], traces=built,
         max_deficit_fraction=1.0,
     )
     assert err_a == err_b is None
@@ -326,10 +327,10 @@ def test_fc_stacked_mid_batch_raise_matches_loop(traces, raising_row):
     built = {s: LoadTrace(t) for s, t in zip(seeds, traces)}
     policies = ["fc-dpm", "static:0.4"]
     a, err_a, mgrs_a = _run_spied(
-        sc, seeds, policies, traces=built, stacked=True
+        run_stacked, sc, seeds, policies, traces=built
     )
     b, err_b, mgrs_b = _run_spied(
-        sc, seeds, policies, traces=built, stacked=False
+        _simulate_batch_loop, sc, seeds, policies, traces=built
     )
     assert err_a == err_b
     assert (a is None) == (b is None)

@@ -21,8 +21,9 @@ from repro.prediction.exponential import (
 )
 from repro.scenario import get_scenario
 from repro.sim.stacked import clamped_cumsum_batch
-from repro.sim.vectorized import clamped_cumsum, simulate_batch
+from repro.sim.vectorized import _simulate_batch_loop, clamped_cumsum
 from repro.workload.trace import LoadTrace, TaskSlot
+from tests.batch_routes import run_stacked
 
 ragged_rows = st.lists(
     st.lists(
@@ -125,13 +126,11 @@ def test_stacked_batch_matches_serial_loop(traces):
     policies = ["conv-dpm", "asap-dpm", "static:0.8", "fc-dpm"]
     # Adversarial traces may overwhelm the storage; accounting is under
     # test, not sizing, so the deficit guard is disabled.
-    a = simulate_batch(
-        sc, seeds, policies, traces=built, stacked=True,
-        max_deficit_fraction=1.0,
+    a = run_stacked(
+        sc, seeds, policies, traces=built, max_deficit_fraction=1.0,
     )
-    b = simulate_batch(
-        sc, seeds, policies, traces=built, stacked=False,
-        max_deficit_fraction=1.0,
+    b = _simulate_batch_loop(
+        sc, seeds, policies, traces=built, max_deficit_fraction=1.0,
     )
     assert a.keys() == b.keys()
     for seed in seeds:

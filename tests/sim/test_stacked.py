@@ -1,13 +1,14 @@
-"""Stacked 2D batch kernel: equivalence, routing, transport, fleet smoke.
+"""Stacked 2D batch kernel: equivalence, routing, sharding, fleet smoke.
 
 The stacked route's contract is absolute: for every seed, every
 ``SimulationResult`` field and every manager/controller/policy end state
 must equal the serial per-seed loop bit for bit -- including which
 ``SimulationError`` is raised, with which message, leaving which
-committed state behind.  These tests pin that contract plus the new
+committed state behind.  These tests pin that contract plus the
 batch plumbing: duplicate-seed rejection, stacked/loop routing and its
-telemetry, the one-segment shared-memory transport, and the
-``fleet_smoke`` scenario's golden aggregates.
+telemetry, plan stacking, worker sharding, and the ``fleet_smoke``
+scenario's golden aggregates.  The stacked side runs through the shared
+``run_stacked`` helper, the loop side through ``_simulate_batch_loop``.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import repro.sim.stacked as stacked_mod
 import repro.sim.vectorized as vectorized
 from repro.errors import ConfigurationError, SimulationError
 from repro.obs import observing
-from repro.runtime.shm import SharedArrayStore
+from repro.runtime import parallel as parallel_mod
 from repro.scenario import get_scenario
 from repro.sim.stacked import (
     stack_plans,
@@ -27,12 +28,12 @@ from repro.sim.stacked import (
 )
 from repro.sim.vectorized import (
     _policy_manager,
-    _stack_plan_group,
-    _stacked_plan_row,
+    _simulate_batch_loop,
     plan_trace_arrays,
     replay_policy,
     simulate_batch,
 )
+from tests.batch_routes import run_stacked
 
 POLICIES = ["conv-dpm", "asap-dpm", "static:0.8", "fc-dpm"]
 
@@ -91,7 +92,7 @@ def _manager_state(mgr):
     return state
 
 
-def _run_with_spy(scenario, seeds, policies, **kwargs):
+def _run_with_spy(run, scenario, seeds, policies, **kwargs):
     """Run a batch recording every built manager; may raise in results."""
     managers = {}
     original = vectorized._policy_manager
@@ -105,7 +106,7 @@ def _run_with_spy(scenario, seeds, policies, **kwargs):
     error = None
     results = None
     try:
-        results = simulate_batch(scenario, seeds, policies, **kwargs)
+        results = run(scenario, seeds, policies, **kwargs)
     except SimulationError as exc:
         error = (type(exc), str(exc))
     finally:
@@ -130,27 +131,27 @@ class TestStackedEquivalence:
     def test_stacked_matches_loop_every_field(self, policies):
         sc = get_scenario("exp2-conv-dpm")
         seeds = list(range(6))
-        a = simulate_batch(sc, seeds, policies, stacked=True)
-        b = simulate_batch(sc, seeds, policies, stacked=False)
+        a = run_stacked(sc, seeds, policies)
+        b = _simulate_batch_loop(sc, seeds, policies)
         _assert_batches_equal(a, b)
 
     def test_stacked_matches_scalar(self):
         sc = get_scenario("exp2-conv-dpm")
         seeds = [0, 1, 2]
-        a = simulate_batch(sc, seeds, POLICIES, stacked=True)
+        a = run_stacked(sc, seeds, POLICIES)
         b = simulate_batch(sc, seeds, POLICIES, fast=False)
         _assert_batches_equal(a, b)
 
     def test_stacked_single_seed_matches_loop(self):
-        a = simulate_batch("exp2-conv-dpm", [7], POLICIES, stacked=True)
-        b = simulate_batch("exp2-conv-dpm", [7], POLICIES, stacked=False)
+        a = run_stacked("exp2-conv-dpm", [7], POLICIES)
+        b = _simulate_batch_loop(get_scenario("exp2-conv-dpm"), [7], POLICIES)
         _assert_batches_equal(a, b)
 
     def test_manager_end_state_matches_loop(self):
         sc = get_scenario("exp2-conv-dpm")
         seeds = list(range(5))
-        _, _, stacked_mgrs = _run_with_spy(sc, seeds, POLICIES, stacked=True)
-        _, _, loop_mgrs = _run_with_spy(sc, seeds, POLICIES, stacked=False)
+        _, _, stacked_mgrs = _run_with_spy(run_stacked, sc, seeds, POLICIES)
+        _, _, loop_mgrs = _run_with_spy(_simulate_batch_loop, sc, seeds, POLICIES)
         for spec in POLICIES:
             sa = _manager_state(stacked_mgrs[spec][0])
             sb = _manager_state(loop_mgrs[spec][0])
@@ -160,16 +161,16 @@ class TestStackedEquivalence:
         sc = get_scenario("exp2-conv-dpm")
         seeds = [3, 4, 5, 6]
         traces = {s: sc.build_trace(s) for s in seeds[:2]}  # partial
-        a = simulate_batch(sc, seeds, POLICIES, traces=traces, stacked=True)
-        b = simulate_batch(sc, seeds, POLICIES, traces=traces, stacked=False)
+        a = run_stacked(sc, seeds, POLICIES, traces=traces)
+        b = _simulate_batch_loop(sc, seeds, POLICIES, traces=traces)
         _assert_batches_equal(a, b)
 
     def test_obs_enabled_route_stays_exact(self):
         sc = get_scenario("exp2-conv-dpm")
         seeds = [0, 1, 2]
         with observing():
-            a = simulate_batch(sc, seeds, POLICIES, stacked=True)
-            b = simulate_batch(sc, seeds, POLICIES, stacked=False)
+            a = run_stacked(sc, seeds, POLICIES)
+            b = _simulate_batch_loop(sc, seeds, POLICIES)
         _assert_batches_equal(a, b)
 
 
@@ -198,10 +199,11 @@ class TestStackedDeficitRaise:
     def test_raise_and_committed_state_match_loop(self, policies):
         sc, order, threshold = self._mid_batch_setup()
         ra, ea, ma = _run_with_spy(
-            sc, order, policies, max_deficit_fraction=threshold, stacked=True
+            run_stacked, sc, order, policies, max_deficit_fraction=threshold
         )
         rb, eb, mb = _run_with_spy(
-            sc, order, policies, max_deficit_fraction=threshold, stacked=False
+            _simulate_batch_loop, sc, order, policies,
+            max_deficit_fraction=threshold,
         )
         assert ra is None and rb is None
         assert ea == eb  # same exception type + message
@@ -223,22 +225,13 @@ class TestBatchRouting:
                 "exp2-conv-dpm", [1, np.int64(1)], ["conv-dpm"]
             )
 
-    def test_stacked_requires_fast(self):
-        with pytest.raises(ConfigurationError, match="requires fast"):
-            simulate_batch(
-                "exp2-conv-dpm", [0, 1], ["conv-dpm"], stacked=True, fast=False
-            )
-
-    def test_stacked_true_rejects_ineligible_spec(self):
-        with pytest.raises(ConfigurationError, match="not stacked-eligible"):
-            simulate_batch("exp1-battery", [0, 1], stacked=True)
-
     def test_auto_mode_falls_back_to_loop(self):
         seeds = [0, 1]
         with observing() as obs:
             auto = simulate_batch("exp1-battery", seeds)
             snapshot = obs.metrics.snapshot()
-        explicit = simulate_batch("exp1-battery", seeds, stacked=False)
+        sc = get_scenario("exp1-battery")
+        explicit = _simulate_batch_loop(sc, seeds, [sc.policy.kind])
         _assert_batches_equal(auto, explicit)
         assert snapshot["sim.batch_route{path=loop}"]["value"] == 1
         assert snapshot["sim.batch_fallback_rows"]["value"] == len(seeds)
@@ -270,6 +263,20 @@ class TestBatchRouting:
             policies
         )
         assert "sim.batch_plan_stack_s" in snapshot
+
+    def test_sharded_route_telemetry(self, monkeypatch):
+        monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: w)
+        seeds = [0, 1, 2, 3, 4]
+        with observing() as obs:
+            simulate_batch("exp2-conv-dpm", seeds, ["conv-dpm"], workers=2)
+            spans = obs.tracer.export()
+        batch_spans = [s for s in spans if s["name"] == "sim.batch"]
+        (parent,) = [s for s in batch_spans if s["attrs"]["route"] == "parallel"]
+        assert parent["attrs"]["blocks"] == 2
+        # One stacked child per block, rows split 2 + 3 in seed order.
+        children = [s["attrs"] for s in batch_spans if s is not parent]
+        assert sorted(a["rows"] for a in children) == [2, 3]
+        assert {a["route"] for a in children} == {"stacked"}
 
     def test_stacked_eligibility_reasons(self):
         mgr = _policy_manager(get_scenario("exp2-conv-dpm"), "conv-dpm")
@@ -321,25 +328,13 @@ class TestStackedTransport:
             np.testing.assert_array_equal(sp.duration[r, :n], plan.duration)
             assert not sp.duration[r, n:].any()
 
-    def test_shm_group_round_trip(self):
-        seeds = [4, 5, 6]
-        plans = self._plans(seeds)
-        group = _stack_plan_group(plans, seeds)
-        store = SharedArrayStore.create({"stacked": group})
-        try:
-            payload = {}
-            for seed, plan in zip(seeds, plans):
-                row = _stacked_plan_row(payload, store.handles["stacked"], seed)
-                self._assert_rows_equal(row, plan)
-            # Attach happens once; later rows reuse the cached views.
-            assert "_plan_stack" in payload
-        finally:
-            store.dispose()
-
-    def test_parallel_workers_match_serial(self):
+    def test_parallel_workers_match_serial(self, monkeypatch):
+        # Drop the core-count cap so workers=2 is a real two-process
+        # pool on any host (workers=1 stays in-process).
+        monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: w)
         sc = get_scenario("exp2-conv-dpm")
         seeds = list(range(6))
-        serial = simulate_batch(sc, seeds, POLICIES, stacked=False)
+        serial = simulate_batch(sc, seeds, POLICIES, workers=1)
         parallel = simulate_batch(sc, seeds, POLICIES, workers=2)
         _assert_batches_equal(parallel, serial)
 

@@ -14,6 +14,7 @@ from repro.core.manager import PowerManager
 from repro.devices.camcorder import camcorder_device_params
 from repro.errors import ConfigurationError, DepletedError, SimulationError
 from repro.fuelcell.fuel import FuelTank, GibbsFuelModel
+from repro.runtime import parallel as parallel_mod
 from repro.scenario import get_scenario, scenario_names
 from repro.sim.slotsim import SimulationResult, SlotSimulator
 from repro.sim.vectorized import (
@@ -233,28 +234,86 @@ class TestBatch:
             for result in fast[seed].values():
                 assert isinstance(result, SimulationResult)
 
-    def test_parallel_workers_match_serial_and_leak_nothing(self, monkeypatch):
-        # Both the dispatch decision and ParallelMap's pool sizing cap
-        # at the usable core count, so force two workers to exercise
-        # the real multi-process shared-memory path on any host.
-        import glob
-
-        from repro.runtime import parallel as parallel_mod
-        from repro.runtime.shm import SHM_PREFIX
-        from repro.sim import vectorized as vectorized_mod
-
-        monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: 2)
-        monkeypatch.setattr(vectorized_mod, "resolve_workers", lambda w: 2)
-
-        before = set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
-        sc = get_scenario("exp1-conv-dpm")
-        seeds = [0, 1, 2, 3]
-        policies = ["conv-dpm", "asap-dpm", "fc-dpm", "static:0.8"]
-        serial = simulate_batch(sc, seeds, policies, fast=True, workers=1)
-        parallel = simulate_batch(sc, seeds, policies, fast=True, workers=2)
+    @pytest.mark.parametrize(
+        "name, policies, kwargs",
+        [
+            ("exp2-fc-dpm", ["conv-dpm", "asap-dpm", "fc-dpm"], {}),
+            ("exp1-battery", None, {}),
+            ("exp1-conv-dpm", ["conv-dpm", "asap-dpm", "fc-dpm"], {"fast": False}),
+            ("exp1-conv-dpm", ["conv-dpm", "fc-dpm", "static:0.8"], {"traces": True}),
+        ],
+        ids=["stacked", "loop", "scalar", "traces"],
+    )
+    def test_parallel_workers_match_serial(
+        self, monkeypatch, name, policies, kwargs
+    ):
+        # Drop the core-count cap where ParallelMap resolves it, so
+        # workers=2 is a real two-process pool on any host.
+        monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: w)
+        sc = get_scenario(name)
+        seeds = [0, 1, 2, 3, 4]
+        if kwargs.get("traces"):
+            # Partial pre-built traces: each block gets only its slice.
+            kwargs = {"traces": {s: sc.build_trace(s) for s in (1, 3, 4)}}
+        serial = simulate_batch(sc, seeds, policies, workers=1, **kwargs)
+        parallel = simulate_batch(sc, seeds, policies, workers=2, **kwargs)
         assert parallel == serial
-        # Segment hygiene: the batch's shared plans must be unlinked.
-        assert set(glob.glob(f"/dev/shm/{SHM_PREFIX}*")) == before
+        assert list(parallel) == seeds
+
+    @pytest.mark.parametrize("tripping_from", [2, 1], ids=["block2", "both"])
+    def test_parallel_deficit_raise_matches_serial(self, monkeypatch, tripping_from):
+        """The sharded route raises the error the serial run hits first.
+
+        Seeds are ordered by deficit ratio and the guard sits just under
+        row ``tripping_from``: rows before it pass, every row from it
+        on trips.  Two blocks of two rows -- either only the second
+        block trips, or both do and the first block's error must win.
+        """
+        monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: w)
+        sc = get_scenario("exp2-conv-dpm")
+        ratios = {}
+        for seed in range(6):
+            res = simulate_batch(
+                sc, [seed], ["static:0.4"], max_deficit_fraction=1.0
+            )[seed]["static:0.4"]
+            ratios[seed] = res.deficit / res.load_charge
+        order = sorted(ratios, key=ratios.get)[:4]
+        threshold = (
+            ratios[order[tripping_from - 1]] + ratios[order[tripping_from]]
+        ) / 2
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(SimulationError) as exc:
+                simulate_batch(
+                    sc,
+                    order,
+                    ["conv-dpm", "static:0.4"],
+                    max_deficit_fraction=threshold,
+                    workers=workers,
+                )
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "seeds, policies, match",
+        [
+            ([], ["conv-dpm"], "at least one seed"),
+            ([0, 1, 0], ["conv-dpm"], "duplicate seeds"),
+            ([0, 1], ["turbo-dpm"], "unknown policy"),
+            ([0, 1], ["static:lots"], "bad static policy spec"),
+        ],
+        ids=["empty", "duplicate", "unknown-spec", "bad-static"],
+    )
+    def test_bad_inputs_raise_before_any_pool(
+        self, monkeypatch, seeds, policies, match
+    ):
+        def no_pool(*args, **kwargs):  # pragma: no cover - fails the test
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(parallel_mod, "resolve_workers", lambda w: w)
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigurationError, match=match):
+            simulate_batch("exp2-conv-dpm", seeds, policies, workers=2)
 
     def test_accepts_scenario_name_string(self):
         by_name = simulate_batch("exp1-conv-dpm", [7])
