@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint bench bench-smoke bench-vector trace-smoke exp-smoke live-smoke report export examples all
+.PHONY: install test lint bench bench-smoke bench-vector trace-smoke exp-smoke live-smoke perf-probe-smoke report export examples all
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -30,6 +30,25 @@ bench:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/test_bench_microbench.py -s \
 		-k "parallel or cached or vectorized or obs or clamped"
+
+# End-to-end benchmark probe smoke: the perfbench self-tests, then one
+# short traced run per workload.  A traced run fails unless every layer
+# probe resolves and records calls, so this catches a renamed or
+# unreached layer boundary.  Fails on a non-zero exit or on a final
+# JSON line without "correct": true.
+PERF_PROBE_WORKLOADS = paper_cli mc_batch narrow_runs
+
+perf-probe-smoke:
+	$(PYTHON) -m pytest perfbench/test_perfbench.py -q
+	@for w in $(PERF_PROBE_WORKLOADS); do \
+		echo "perf-probe-smoke: $$w"; \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 \
+			--seconds 1 --trace 1) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; \
+			sys.exit(json.load(sys.stdin)["correct"] is not True)' \
+			|| { echo "$$out"; echo "perf-probe-smoke: $$w not correct"; exit 1; }; \
+		echo "$$out" | tail -n 1; \
+	done
 
 # Telemetry smoke: run a small scenario with tracing on, then validate
 # the bundle (manifest.json + spans.jsonl + trace.json) structurally.

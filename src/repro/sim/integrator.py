@@ -43,6 +43,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 KIND_CODES = {"standby": 0, "pd": 1, "sleep": 2, "wu": 3, "run": 4}
 KIND_NAMES = ("standby", "pd", "sleep", "wu", "run")
 
+#: Relative slack before a segment counts as longer than ``max_segment``
+#: (see :func:`chunk_segments` / :func:`chunk_slot_arrays`).
+CHUNK_REL_TOL = 1e-12
+
 
 class Segment(NamedTuple):
     """One constant-load interval of the simulated timeline.
@@ -104,7 +108,7 @@ def plan_active_segments(device: "DeviceParams", slot: "TaskSlot") -> list[Segme
 def chunk_segments(
     segments: list[Segment],
     max_segment: float | None,
-    rel_tol: float = 1e-12,
+    rel_tol: float = CHUNK_REL_TOL,
 ) -> list[Segment]:
     """Split long segments into equal re-decision chunks (if configured).
 
@@ -144,20 +148,16 @@ def plan_slot_arrays(
     i_active: np.ndarray,
     sleep: np.ndarray,
     sleep_after: np.ndarray,
-    *,
-    phase_context: bool = False,
-) -> dict[str, "np.ndarray | None"]:
+) -> dict[str, np.ndarray]:
     """Array-native segment layout: all slots at once, one device.
 
     The vectorized twin of :func:`plan_idle_segments` /
     :func:`plan_active_segments` -- the layout rules live here so the
     scalar planners above and every array planner stay single-sourced.
     Emits exactly the rows the scalar planners produce: per-slot segment
-    counts give the bounds by cumsum, each segment class (standby, pd,
-    sleep dwell, wu, run) scatters into its column positions with one
-    fancy assignment, and (when ``phase_context`` is set) the
-    phase-lookahead columns come from masked running sums replaying the
-    scalar's left-to-right accumulation order per slot, bit for bit.
+    counts give the bounds by cumsum, and each segment class (standby,
+    pd, sleep dwell, wu, run) scatters into its column positions with
+    one fancy assignment.
 
     The slots need not come from one trace: ``simulate_batch``'s stacked
     route concatenates every seed's slots and plans the whole batch in
@@ -165,9 +165,8 @@ def plan_slot_arrays(
     of the returned columns.
 
     Returns a dict with keys ``duration``, ``i_load``, ``kind``,
-    ``phase_duration``, ``phase_demand`` (``None`` unless
-    ``phase_context``), ``slot_bounds``, ``active_start``, ``slept``,
-    ``aborted``.
+    ``slot_bounds``, ``active_start``, ``slept``, ``aborted`` (the
+    :class:`~repro.sim.vectorized.TraceArrays` fields).
     """
     n_slots = t_idle.shape[0]
     if n_slots == 0:
@@ -176,8 +175,6 @@ def plan_slot_arrays(
             "duration": empty,
             "i_load": empty.copy(),
             "kind": np.empty(0, dtype=np.int8),
-            "phase_duration": empty.copy() if phase_context else None,
-            "phase_demand": empty.copy() if phase_context else None,
             "slot_bounds": np.zeros(1, dtype=np.intp),
             "active_start": np.empty(0, dtype=np.intp),
             "slept": np.empty(0, dtype=bool),
@@ -228,60 +225,53 @@ def plan_slot_arrays(
     i_load[dw_idx] = device.i_slp
     kind[dw_idx] = KIND_CODES["sleep"]
 
-    wu_pos = active_start - 1
-    wu_idx = wu_pos[slept]
+    wu_idx = (active_start - 1)[slept]
     duration[wu_idx] = device.t_wu
     i_load[wu_idx] = device.i_wu
     kind[wu_idx] = KIND_CODES["wu"]
 
-    run_dur = (device.t_sdb_to_run + t_active) + device.t_run_to_sdb
-    duration[active_start] = run_dur
+    duration[active_start] = (device.t_sdb_to_run + t_active) + device.t_run_to_sdb
     i_load[active_start] = i_active
     kind[active_start] = KIND_CODES["run"]
-
-    phase_dur = phase_dem = None
-    if phase_context:
-        phase_dur = np.empty(n_total, dtype=float)
-        phase_dem = np.empty(n_total, dtype=float)
-        # Single-segment phases: the lookahead is the segment itself.
-        phase_dur[active_start] = run_dur
-        phase_dem[active_start] = run_dur * i_active
-        phase_dur[sb_idx] = t_idle[standby]
-        phase_dem[sb_idx] = t_idle[standby] * device.i_sdb
-        # Sleeping idle phases: masked running sums in component order
-        # reproduce each slot's sequential accumulation exactly (the
-        # fold only touches slots where the component is present, so
-        # every per-slot partial matches the scalar's += sequence).
-        components = (
-            (has_sa, sleep_after, device.i_sdb, starts),
-            (slept, device.t_pd, device.i_pd, pd_pos),
-            (has_dwell, dwell, device.i_slp, pd_pos + 1),
-            (slept, device.t_wu, device.i_wu, wu_pos),
-        )
-        total_d = 0.0
-        total_q = 0.0
-        for present, dur_c, load_c, _ in components:
-            total_d = np.where(present, total_d + dur_c, total_d)
-            total_q = np.where(present, total_q + dur_c * load_c, total_q)
-        remaining = total_d
-        demand = total_q
-        for present, dur_c, load_c, positions in components:
-            idx = positions[present]
-            phase_dur[idx] = remaining[present]
-            phase_dem[idx] = demand[present]
-            remaining = np.where(present, remaining - dur_c, remaining)
-            demand = np.where(present, demand - load_c * dur_c, demand)
 
     return {
         "duration": duration,
         "i_load": i_load,
         "kind": kind,
-        "phase_duration": phase_dur,
-        "phase_demand": phase_dem,
         "slot_bounds": slot_bounds,
         "active_start": active_start,
         "slept": slept,
         "aborted": aborted,
+    }
+
+
+def chunk_slot_arrays(
+    plan: dict[str, np.ndarray], max_segment: float | None
+) -> dict[str, np.ndarray]:
+    """:func:`chunk_segments` over a :func:`plan_slot_arrays` plan.
+
+    Each segment longer than ``max_segment * (1 + CHUNK_REL_TOL)``
+    becomes ``ceil(duration / max_segment)`` equal chunks of its load
+    and kind (the scalar's exact ``duration / n``); the per-slot index
+    columns are remapped through the running chunk count.  Row for row
+    the result equals chunking each slot's scalar-planned phases.
+    """
+    if max_segment is None:
+        return plan
+    duration = plan["duration"]
+    split = duration > max_segment * (1.0 + CHUNK_REL_TOL)
+    n = np.ones(duration.shape[0], dtype=np.intp)
+    n[split] = np.ceil(duration[split] / max_segment)
+    new_index = np.zeros(n.shape[0] + 1, dtype=np.intp)
+    np.cumsum(n, out=new_index[1:])
+    return {
+        "duration": np.repeat(duration / n, n),
+        "i_load": np.repeat(plan["i_load"], n),
+        "kind": np.repeat(plan["kind"], n),
+        "slot_bounds": new_index[plan["slot_bounds"]],
+        "active_start": new_index[plan["active_start"]],
+        "slept": plan["slept"],
+        "aborted": plan["aborted"],
     }
 
 

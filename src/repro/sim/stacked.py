@@ -52,7 +52,7 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import repeat as _repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -80,6 +80,7 @@ from .vectorized import (
     _fuel_currents,
     _realize_commands,
     _reason_key,
+    _slot_sums,
     _storage_deltas,
     fast_path_ineligibility,
 )
@@ -241,15 +242,14 @@ class StackedPlans:
 
     ``flat`` is the whole batch as one plan over the concatenated slot
     sequence (its ``slot_bounds`` / ``active_start`` hold *global*
-    segment indices); ``rows[r]`` is row ``r``'s plan with row-local
-    indices -- views into the flat columns, bit-identical to planning
-    that row alone.  ``duration`` / ``i_load`` are the zero-padded 2D
-    forms the stacked kernels sweep (zero padding is bit-neutral in
+    segment indices); row ``r``'s own plan is the flat columns sliced by
+    ``seg_offsets`` / ``slot_offsets``, its index columns shifted by
+    ``seg_offsets[r]``.  ``duration`` / ``i_load`` are the zero-padded
+    2D forms the stacked kernels sweep (zero padding is bit-neutral in
     every reduction the kernels perform).
     """
 
     flat: TraceArrays
-    rows: list[TraceArrays]
     seg_offsets: np.ndarray  #: (R+1,) flat segment offset per row
     slot_offsets: np.ndarray  #: (R+1,) flat slot offset per row
     n_seg: np.ndarray  #: (R,) segments per row
@@ -267,35 +267,14 @@ class StackedPlans:
 
 
 def _stack_from_flat(flat: TraceArrays, counts: np.ndarray) -> StackedPlans:
-    """Carve one concatenated plan into per-row views + padded 2D columns."""
+    """Carve one concatenated plan into row offsets + padded 2D columns."""
     slot_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-    g_bounds = flat.slot_bounds
-    seg_offsets = g_bounds[slot_offsets]
-    rows: list[TraceArrays] = []
-    for r in range(counts.shape[0]):
-        slo = int(slot_offsets[r])
-        shi = int(slot_offsets[r + 1])
-        lo = int(seg_offsets[r])
-        hi = int(seg_offsets[r + 1])
-        rows.append(
-            TraceArrays(
-                duration=flat.duration[lo:hi],
-                i_load=flat.i_load[lo:hi],
-                kind=flat.kind[lo:hi],
-                phase_duration=None,
-                phase_demand=None,
-                slot_bounds=g_bounds[slo : shi + 1] - lo,
-                active_start=flat.active_start[slo:shi] - lo,
-                slept=flat.slept[slo:shi],
-                aborted=flat.aborted[slo:shi],
-            )
-        )
+    seg_offsets = flat.slot_bounds[slot_offsets]
     n_seg = np.diff(seg_offsets)
     width = int(n_seg.max()) if n_seg.size else 0
     valid = np.arange(width)[None, :] < n_seg[:, None]
     return StackedPlans(
         flat=flat,
-        rows=rows,
         seg_offsets=seg_offsets,
         slot_offsets=slot_offsets,
         n_seg=n_seg,
@@ -303,37 +282,6 @@ def _stack_from_flat(flat: TraceArrays, counts: np.ndarray) -> StackedPlans:
         i_load=_pad_rows(flat.i_load, valid),
         valid_seg=valid,
     )
-
-
-def stack_plans(plans: Sequence[TraceArrays]) -> StackedPlans:
-    """Stack already-compiled per-seed plans into one :class:`StackedPlans`.
-
-    The concatenated ``flat`` plan is rebuilt by offsetting each row's
-    index columns -- exact integer arithmetic, so carving it back up
-    (or padding it) reproduces the inputs bit for bit.  Used by the
-    equivalence tests; the batch driver plans the concatenation
-    directly instead.
-    """
-    counts = np.array([p.n_slots for p in plans], dtype=np.intp)
-    seg_counts = np.array([p.n_segments for p in plans], dtype=np.intp)
-    seg_off = np.concatenate(([0], np.cumsum(seg_counts))).astype(np.intp)
-    flat = TraceArrays(
-        duration=np.concatenate([p.duration for p in plans]),
-        i_load=np.concatenate([p.i_load for p in plans]),
-        kind=np.concatenate([p.kind for p in plans]),
-        phase_duration=None,
-        phase_demand=None,
-        slot_bounds=np.concatenate(
-            [np.zeros(1, dtype=np.intp)]
-            + [p.slot_bounds[1:] + off for p, off in zip(plans, seg_off[:-1])]
-        ),
-        active_start=np.concatenate(
-            [p.active_start + off for p, off in zip(plans, seg_off[:-1])]
-        ),
-        slept=np.concatenate([p.slept for p in plans]),
-        aborted=np.concatenate([p.aborted for p in plans]),
-    )
-    return _stack_from_flat(flat, counts)
 
 
 # -- batched storage recurrence ----------------------------------------------
@@ -864,14 +812,6 @@ def _row_totals(flat_values: np.ndarray, sp: StackedPlans) -> np.ndarray:
     return np.cumsum(_pad_rows(flat_values, sp.valid_seg), axis=1)[:, -1]
 
 
-def _slot_sums_flat(sp: StackedPlans, values_flat: np.ndarray) -> np.ndarray:
-    """Per-slot sums across the whole batch, in scalar accumulation order."""
-    out = np.zeros(sp.flat.n_slots)
-    if out.shape[0] and values_flat.shape[0]:
-        np.add.at(out, sp.flat.slot_index, values_flat)
-    return out
-
-
 def simulate_batch_stacked(
     scenario: "Scenario",
     seed_list: list[int],
@@ -919,7 +859,6 @@ def simulate_batch_stacked(
             slots.i_active,
             sleep_flat,
             np.zeros(sleep_flat.shape[0]),
-            phase_context=False,
         )
     )
     sp = _stack_from_flat(flat, slots.counts)
@@ -930,7 +869,7 @@ def simulate_batch_stacked(
     dur_rows = _row_totals(flat.duration, sp)
     load_seg = flat.load_charge_seg
     load_rows = _row_totals(load_seg, sp)
-    slot_loads = _slot_sums_flat(sp, load_seg)
+    slot_loads = _slot_sums(sp.flat, load_seg)
     slot_row_idx = np.repeat(np.arange(rows_n), slots.counts)
     sleeps_rows = np.bincount(
         slot_row_idx, weights=flat.slept, minlength=rows_n
@@ -1017,7 +956,7 @@ def simulate_batch_stacked(
         entry = {
             "fuel_rows": _row_totals(run.fuel_flat, sp),
             "delivered_rows": _row_totals(run.delivered_flat, sp),
-            "slot_fuel": _slot_sums_flat(sp, run.fuel_flat).tolist(),
+            "slot_fuel": _slot_sums(sp.flat, run.fuel_flat).tolist(),
             "storage_end": run.charges.ravel()[flat_end_idx].tolist(),
         }
         if run.i_f_flat is not None:

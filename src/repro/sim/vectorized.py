@@ -9,9 +9,9 @@ segments (Eqs. 3-4), a clamped cumulative sum for the storage, and
 per-slot reductions -- which is what this module does:
 
 1. :func:`plan_trace_arrays` compiles a trace into structure-of-arrays
-   form, reusing :func:`~repro.sim.integrator.plan_idle_segments` /
-   :func:`~repro.sim.integrator.plan_active_segments` so the timeline
-   convention stays single-sourced;
+   form through :func:`~repro.sim.integrator.plan_slot_arrays`, the
+   array twin of the scalar planners, so the timeline convention stays
+   single-sourced;
 2. :meth:`~repro.fuelcell.efficiency.SystemEfficiencyModel.fuel_map_array`
    evaluates the fuel map over the whole command array at once;
 3. :func:`clamped_cumsum` reproduces the
@@ -77,14 +77,7 @@ from ..power.storage import IdealStorage, SuperCapacitor
 from ..prediction.exponential import exponential_average_scan
 from ..runtime.memo import solve_slot_memo
 from ..runtime import parallel
-from .integrator import (
-    KIND_CODES,
-    KIND_NAMES,
-    chunk_segments,
-    plan_active_segments,
-    plan_idle_segments,
-    plan_slot_arrays,
-)
+from .integrator import KIND_NAMES, chunk_slot_arrays, plan_slot_arrays
 from .slotsim import SimulationResult, SlotResult, SlotSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,11 +85,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dpm.policy import DPMPolicy, IdleDecision
     from ..scenario.spec import Scenario
     from ..workload.trace import LoadTrace
-
-#: Segment-kind encoding for the int8 ``TraceArrays.kind`` column
-#: (aliases of the single-sourced codes in :mod:`repro.sim.integrator`).
-_KIND_CODES = KIND_CODES
-_KIND_NAMES = KIND_NAMES
 
 #: After this many storage clamp events the kernel stops rescanning
 #: arrays and finishes the stretch with a compiled-float sequential
@@ -122,17 +110,8 @@ class TraceArrays:
     duration: np.ndarray
     #: Load current (A), one per segment.
     i_load: np.ndarray
-    #: Kind code per segment (see ``_KIND_CODES``), int8.
+    #: Kind code per segment (see ``integrator.KIND_CODES``), int8.
     kind: np.ndarray
-    #: Remaining phase duration *including* the segment (s) -- the
-    #: scalar ``SegmentContext.phase_duration`` lookahead.  ``None``
-    #: when compiled with ``phase_context=False`` (the fast path does
-    #: this: closed-form controllers never read it, and the generic
-    #: replay derives the exact values from ``duration`` on demand).
-    phase_duration: np.ndarray | None
-    #: Remaining phase load charge including the segment (A-s), or
-    #: ``None`` (see ``phase_duration``).
-    phase_demand: np.ndarray | None
     #: Segment index where each slot starts; length ``n_slots + 1``.
     slot_bounds: np.ndarray
     #: Segment index where each slot's active phase starts.
@@ -264,111 +243,23 @@ def plan_trace_arrays(
     trace: "LoadTrace",
     decisions,
     max_segment: float | None = None,
-    *,
-    phase_context: bool = True,
 ) -> TraceArrays:
     """Compile ``trace`` + per-slot ``decisions`` into :class:`TraceArrays`.
 
-    Reuses :func:`plan_idle_segments` / :func:`plan_active_segments` /
-    :func:`chunk_segments`, so the segment layout is the scalar
-    simulator's, row for row.  ``phase_context=False`` skips the
-    remaining-phase lookahead columns (``phase_duration`` /
-    ``phase_demand`` come back ``None``) -- the fast path uses this
-    because its closed-form controllers never read them and the generic
-    replay derives them on demand; the per-segment bookkeeping is a
-    measurable share of compile time.
+    Extracts the slot/decision columns and hands them to
+    :func:`~repro.sim.integrator.plan_slot_arrays` (then
+    :func:`~repro.sim.integrator.chunk_slot_arrays` for ``max_segment``),
+    so the layout rules stay single-sourced in
+    :mod:`repro.sim.integrator`; the planner parity property checks the
+    rows against the scalar planners exactly.
     """
     slots = list(trace)
     decisions = list(decisions)
-    if len(decisions) != len(slots):
-        raise ConfigurationError(
-            f"got {len(decisions)} decisions for {len(slots)} slots"
-        )
-    if max_segment is None:
-        return _plan_trace_arrays_numpy(device, slots, decisions, phase_context)
-    durations: list[float] = []
-    loads: list[float] = []
-    kinds: list[int] = []
-    phase_dur: list[float] = []
-    phase_dem: list[float] = []
-    slot_bounds = [0]
-    active_start: list[int] = []
-    slept_l: list[bool] = []
-    aborted_l: list[bool] = []
-    dur_append = durations.append
-    load_append = loads.append
-    kind_append = kinds.append
-    pdur_append = phase_dur.append
-    pdem_append = phase_dem.append
-    astart_append = active_start.append
-    bounds_append = slot_bounds.append
-    codes = _KIND_CODES
-
-    for slot, decision in zip(slots, decisions):
-        idle_segments, slept, aborted = plan_idle_segments(
-            device, slot.t_idle, decision.sleep, decision.sleep_after
-        )
-        slept_l.append(slept)
-        aborted_l.append(aborted)
-        active_segments = plan_active_segments(device, slot)
-        if max_segment is not None:
-            idle_segments = chunk_segments(idle_segments, max_segment)
-            active_segments = chunk_segments(active_segments, max_segment)
-        if phase_context:
-            for segments in (idle_segments, active_segments):
-                if segments is active_segments:
-                    astart_append(len(durations))
-                # Inlined phase_totals(): plain sequential accumulation,
-                # bit-identical to the sum() calls run_phase makes.
-                remaining = 0.0
-                demand = 0.0
-                for d, i_l, _ in segments:
-                    remaining += d
-                    demand += d * i_l
-                for d, i_l, kind in segments:
-                    dur_append(d)
-                    load_append(i_l)
-                    kind_append(codes[kind])
-                    pdur_append(remaining)
-                    pdem_append(demand)
-                    remaining -= d
-                    demand -= i_l * d
-        else:
-            for d, i_l, kind in idle_segments:
-                dur_append(d)
-                load_append(i_l)
-                kind_append(codes[kind])
-            astart_append(len(durations))
-            for d, i_l, kind in active_segments:
-                dur_append(d)
-                load_append(i_l)
-                kind_append(codes[kind])
-        bounds_append(len(durations))
-
-    return TraceArrays(
-        duration=np.asarray(durations, dtype=float),
-        i_load=np.asarray(loads, dtype=float),
-        kind=np.asarray(kinds, dtype=np.int8),
-        phase_duration=np.asarray(phase_dur, dtype=float) if phase_context else None,
-        phase_demand=np.asarray(phase_dem, dtype=float) if phase_context else None,
-        slot_bounds=np.asarray(slot_bounds, dtype=np.intp),
-        active_start=np.asarray(active_start, dtype=np.intp),
-        slept=np.asarray(slept_l, dtype=bool),
-        aborted=np.asarray(aborted_l, dtype=bool),
-    )
-
-
-def _plan_trace_arrays_numpy(
-    device, slots, decisions, phase_context: bool
-) -> TraceArrays:
-    """Array-native planner for the unchunked (``max_segment=None``) case.
-
-    Extracts the slot/decision columns and hands them to
-    :func:`repro.sim.integrator.plan_slot_arrays` -- the layout rules
-    stay single-sourced in :mod:`repro.sim.integrator` and the parity
-    tests enforce the row-for-row match with the scalar planners.
-    """
     n_slots = len(slots)
+    if len(decisions) != n_slots:
+        raise ConfigurationError(
+            f"got {len(decisions)} decisions for {n_slots} slots"
+        )
     t_idle = np.array([s.t_idle for s in slots], dtype=float)
     t_active = np.array([s.t_active for s in slots], dtype=float)
     i_active = np.array([s.i_active for s in slots], dtype=float)
@@ -376,17 +267,8 @@ def _plan_trace_arrays_numpy(
     sleep_after = np.fromiter(
         (d.sleep_after for d in decisions), dtype=float, count=n_slots
     )
-    return TraceArrays(
-        **plan_slot_arrays(
-            device,
-            t_idle,
-            t_active,
-            i_active,
-            sleep,
-            sleep_after,
-            phase_context=phase_context,
-        )
-    )
+    plan = plan_slot_arrays(device, t_idle, t_active, i_active, sleep, sleep_after)
+    return TraceArrays(**chunk_slot_arrays(plan, max_segment))
 
 
 # -- exact array kernels -----------------------------------------------------
@@ -680,10 +562,6 @@ def _controller_commands(
     durations = plan.duration.tolist()
     loads = plan.i_load.tolist()
     kinds = plan.kind.tolist()
-    have_context = plan.phase_duration is not None
-    if have_context:
-        phase_dur = plan.phase_duration.tolist()
-        phase_dem = plan.phase_demand.tolist()
     bounds = plan.slot_bounds.tolist()
     astart = plan.active_start.tolist()
     slept = plan.slept.tolist()
@@ -700,23 +578,19 @@ def _controller_commands(
             ("idle", bounds[s], astart[s]),
             ("active", astart[s], bounds[s + 1]),
         ):
-            if not have_context:
-                # Derive the remaining-phase lookahead exactly as
-                # run_phase does: sequential sums over the phase.
-                remaining = 0.0
-                demand = 0.0
-                for k in range(lo, hi):
-                    remaining += durations[k]
-                    demand += durations[k] * loads[k]
+            # The remaining-phase lookahead, derived exactly as
+            # run_phase does: sequential sums over the phase.
+            remaining = 0.0
+            demand = 0.0
             for k in range(lo, hi):
-                if have_context:
-                    remaining = phase_dur[k]
-                    demand = phase_dem[k]
+                remaining += durations[k]
+                demand += durations[k] * loads[k]
+            for k in range(lo, hi):
                 out[k] = controller.output(
                     SegmentContext(
                         slot_index=s,
                         phase=phase,
-                        kind=_KIND_NAMES[kinds[k]],
+                        kind=KIND_NAMES[kinds[k]],
                         duration=durations[k],
                         i_load=loads[k],
                         storage_charge=nan,
@@ -725,9 +599,8 @@ def _controller_commands(
                         phase_demand=demand,
                     )
                 )
-                if not have_context:
-                    remaining -= durations[k]
-                    demand -= loads[k] * durations[k]
+                remaining -= durations[k]
+                demand -= loads[k] * durations[k]
         controller.on_slot_end(
             SlotActuals(
                 slot_index=s,
@@ -1417,14 +1290,7 @@ def simulate_fast(
         fc_seeds = _fc_scan_seeds(manager)
         decisions = replay_policy(manager.policy, trace)
         plan = plan_trace_arrays(
-            manager.device,
-            trace,
-            decisions,
-            max_segment=max_segment,
-            # The lookahead columns are only read by the generic replay,
-            # which derives them on demand; skipping them here keeps the
-            # compile step off the critical path's profile.
-            phase_context=False,
+            manager.device, trace, decisions, max_segment=max_segment
         )
         result = _simulate_fast_planned(
             manager, trace, plan, max_deficit_fraction, fc_seeds=fc_seeds
@@ -1563,10 +1429,7 @@ def _simulate_batch_loop(
                 # fresh, an internal detail batch results never
                 # observe.
                 plan = plan_trace_arrays(
-                    mgr.device,
-                    trace,
-                    replay_policy(mgr.policy, trace),
-                    phase_context=False,
+                    mgr.device, trace, replay_policy(mgr.policy, trace)
                 )
             result = _simulate_fast_planned(
                 mgr, trace, plan, max_deficit_fraction, fc_seeds=fc_seeds

@@ -15,9 +15,16 @@ from hypothesis import strategies as st
 from repro.core.baselines import StaticController
 from repro.core.manager import PowerManager
 from repro.devices.camcorder import camcorder_device_params
-from repro.sim.integrator import Segment, chunk_segments
+from repro.dpm.policy import IdleDecision
+from repro.sim.integrator import (
+    KIND_CODES,
+    Segment,
+    chunk_segments,
+    plan_active_segments,
+    plan_idle_segments,
+)
 from repro.sim.slotsim import SlotSimulator
-from repro.sim.vectorized import clamped_cumsum, simulate_fast
+from repro.sim.vectorized import clamped_cumsum, plan_trace_arrays, simulate_fast
 from repro.workload.trace import LoadTrace, TaskSlot
 
 slots = st.lists(
@@ -264,3 +271,93 @@ class TestChunkSegmentsProperties:
     def test_none_limit_is_identity(self):
         segs = [Segment(50.0, 0.2, "sleep")]
         assert chunk_segments(segs, None) is segs
+
+
+def _ulps(x, k):
+    """``x`` moved ``k`` units in the last place (down for negative ``k``)."""
+    toward = np.inf if k > 0 else -np.inf
+    for _ in range(abs(k)):
+        x = np.nextafter(x, toward)
+    return float(x)
+
+
+@st.composite
+def planner_cases(draw):
+    """Random slots + decisions, some durations pinned at the chunk limit.
+
+    With a ``max_segment``, a standby idle period, a sleep-after dwell,
+    or an active period may land exactly on ``max_segment * (1 + 1e-12)``
+    or a few ULP either side of it -- where the chunking decision flips.
+    """
+    max_segment = draw(
+        st.none()
+        | st.sampled_from([0.5, 1.0, 2.5])
+        | st.floats(min_value=0.3, max_value=30.0)
+    )
+    near = st.integers(min_value=-2, max_value=4)
+    slot_list, decisions = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        t_idle = draw(st.floats(min_value=0.0, max_value=60.0))
+        t_active = draw(st.floats(min_value=0.1, max_value=10.0))
+        sleep_after = draw(st.just(0.0) | st.floats(min_value=0.0, max_value=20.0))
+        if max_segment is not None:
+            limit = max_segment * (1.0 + 1e-12)
+            if draw(st.booleans()):
+                t_idle = _ulps(limit, draw(near))
+            if draw(st.booleans()):
+                sleep_after = _ulps(limit, draw(near))
+            if limit > 2.5 and draw(st.booleans()):
+                # The run segment adds the 1.5 s + 0.5 s transitions.
+                t_active = _ulps(limit - 2.0, draw(near))
+        slot_list.append(
+            TaskSlot(
+                t_idle=t_idle,
+                t_active=t_active,
+                i_active=draw(st.floats(min_value=0.0, max_value=1.3)),
+            )
+        )
+        decisions.append(
+            IdleDecision(sleep=draw(st.booleans()), sleep_after=sleep_after)
+        )
+    return slot_list, decisions, max_segment
+
+
+def _scalar_plan_columns(device, slot_list, decisions, max_segment):
+    """The scalar planners' rows, laid out as ``TraceArrays`` columns."""
+    segments = []
+    slot_bounds, active_start, slept, aborted = [0], [], [], []
+    for slot, decision in zip(slot_list, decisions):
+        idle, s, a = plan_idle_segments(
+            device, slot.t_idle, decision.sleep, decision.sleep_after
+        )
+        segments += chunk_segments(idle, max_segment)
+        active_start.append(len(segments))
+        segments += chunk_segments(plan_active_segments(device, slot), max_segment)
+        slot_bounds.append(len(segments))
+        slept.append(s)
+        aborted.append(a)
+    return {
+        "duration": np.array([g.duration for g in segments], dtype=float),
+        "i_load": np.array([g.i_load for g in segments], dtype=float),
+        "kind": np.array([KIND_CODES[g.kind] for g in segments], dtype=np.int8),
+        "slot_bounds": np.array(slot_bounds, dtype=np.intp),
+        "active_start": np.array(active_start, dtype=np.intp),
+        "slept": np.array(slept, dtype=bool),
+        "aborted": np.array(aborted, dtype=bool),
+    }
+
+
+class TestPlannerParity:
+    @given(planner_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_plan_matches_scalar_planners(self, case):
+        slot_list, decisions, max_segment = case
+        dev = camcorder_device_params()
+        plan = plan_trace_arrays(
+            dev, LoadTrace(slot_list), decisions, max_segment=max_segment
+        )
+        expected = _scalar_plan_columns(dev, slot_list, decisions, max_segment)
+        for name, column in expected.items():
+            actual = getattr(plan, name)
+            assert actual.dtype == column.dtype, name
+            assert np.array_equal(actual, column), name

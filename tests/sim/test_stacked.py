@@ -22,10 +22,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.obs import observing
 from repro.runtime import parallel as parallel_mod
 from repro.scenario import get_scenario
-from repro.sim.stacked import (
-    stack_plans,
-    stacked_batch_ineligibility,
-)
+from repro.sim.stacked import _stack_from_flat, stacked_batch_ineligibility
 from repro.sim.vectorized import (
     _policy_manager,
     _simulate_batch_loop,
@@ -33,6 +30,7 @@ from repro.sim.vectorized import (
     replay_policy,
     simulate_batch,
 )
+from repro.workload.trace import LoadTrace
 from tests.batch_routes import run_stacked
 
 POLICIES = ["conv-dpm", "asap-dpm", "static:0.8", "fc-dpm"]
@@ -290,43 +288,51 @@ class TestBatchRouting:
 
 
 class TestStackedTransport:
-    def _plans(self, seeds):
+    def test_stack_from_flat_carves_per_seed_plans(self):
         sc = get_scenario("exp2-conv-dpm")
         mgr = _policy_manager(sc, "conv-dpm")
         initial = mgr.source.storage.charge
-        plans = []
+        seeds = [0, 1, 2, 3]
+        slots, decisions, plans = [], [], []
         for seed in seeds:
             mgr.reset(initial)
             trace = sc.build_trace(seed)
-            plans.append(
-                plan_trace_arrays(
-                    mgr.device,
-                    trace,
-                    replay_policy(mgr.policy, trace),
-                    phase_context=False,
-                )
-            )
-        return plans
-
-    def _assert_rows_equal(self, row, plan):
-        for name in ("duration", "i_load", "kind", "slot_bounds",
-                     "active_start", "slept", "aborted"):
-            np.testing.assert_array_equal(
-                getattr(row, name), getattr(plan, name), err_msg=name
-            )
-
-    def test_stack_plans_round_trip(self):
-        seeds = [0, 1, 2, 3]
-        plans = self._plans(seeds)
-        sp = stack_plans(plans)
+            row_decisions = replay_policy(mgr.policy, trace)
+            slots.extend(trace)
+            decisions.extend(row_decisions)
+            plans.append(plan_trace_arrays(mgr.device, trace, row_decisions))
+        # One planner call over the concatenated slots, carved into rows.
+        flat = plan_trace_arrays(mgr.device, LoadTrace(slots), decisions)
+        sp = _stack_from_flat(
+            flat, np.array([p.n_slots for p in plans], dtype=np.intp)
+        )
         assert sp.n_rows == len(plans)
-        for row, plan in zip(sp.rows, plans):
-            self._assert_rows_equal(row, plan)
-        # Padded 2D columns must hold each row's segments verbatim.
         for r, plan in enumerate(plans):
+            lo, hi = sp.seg_offsets[r], sp.seg_offsets[r + 1]
+            slo, shi = sp.slot_offsets[r], sp.slot_offsets[r + 1]
+            row = {
+                "duration": flat.duration[lo:hi],
+                "i_load": flat.i_load[lo:hi],
+                "kind": flat.kind[lo:hi],
+                "slot_bounds": flat.slot_bounds[slo : shi + 1] - lo,
+                "active_start": flat.active_start[slo:shi] - lo,
+                "slept": flat.slept[slo:shi],
+                "aborted": flat.aborted[slo:shi],
+            }
+            for name, column in row.items():
+                expected = getattr(plan, name)
+                assert column.dtype == expected.dtype, name
+                np.testing.assert_array_equal(column, expected, err_msg=name)
+            # Padded 2D columns must hold each row's segments verbatim.
             n = plan.n_segments
-            np.testing.assert_array_equal(sp.duration[r, :n], plan.duration)
-            assert not sp.duration[r, n:].any()
+            assert sp.n_seg[r] == n
+            for padded, expected in (
+                (sp.duration, plan.duration),
+                (sp.i_load, plan.i_load),
+            ):
+                np.testing.assert_array_equal(padded[r, :n], expected)
+                assert not padded[r, n:].any()
+            assert sp.valid_seg[r, :n].all() and not sp.valid_seg[r, n:].any()
 
     def test_parallel_workers_match_serial(self, monkeypatch):
         # Drop the core-count cap so workers=2 is a real two-process
