@@ -2,6 +2,10 @@
 
 PYTHON ?= python3
 
+# Run every target against this checkout's sources, installed or not
+# (an installed package still resolves; src/ just comes first).
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test lint bench bench-smoke bench-vector trace-smoke exp-smoke live-smoke perf-probe-smoke report export examples all
 
 install:

@@ -96,8 +96,8 @@ def table2(
     (the sigma filter converges to the constant immediately).
 
     ``fast=True`` routes each policy through the vectorized kernel
-    (:func:`repro.sim.vectorized.simulate_fast`); the numbers are
-    identical -- FC-DPM is adaptive and transparently takes the scalar
+    (:func:`repro.sim.vectorized.simulate_fast`) -- FC-DPM included,
+    via its scan-compiled pass; the numbers are identical to the scalar
     path either way.
     """
     c = constants if constants is not None else Experiment1Constants()

@@ -44,6 +44,11 @@ _POOL_FAILURES = (
     AttributeError,
 )
 
+#: Dispatch granularity: each pool worker receives about this many
+#: contiguous chunks.  More chunks smooth out stragglers at the cost of
+#: more pickling round-trips.
+_CHUNKS_PER_WORKER = 4
+
 
 class BrokenPoolError(RuntimeError):
     """A worker process died mid-map; names the in-flight chunk.
@@ -264,10 +269,6 @@ class ParallelMap:
     workers:
         Process count.  ``<= 1`` executes inline (serial); ``None``/``0``
         uses every available core.
-    chunks_per_worker:
-        Dispatch granularity: each worker receives about this many
-        contiguous chunks.  More chunks smooth out stragglers at the
-        cost of more pickling round-trips.
     serial_fallback:
         When True (the default) any pool-infrastructure failure retries
         the whole map serially.  False propagates the failure instead
@@ -281,13 +282,9 @@ class ParallelMap:
     def __init__(
         self,
         workers: int | None = 1,
-        chunks_per_worker: int = 4,
         serial_fallback: bool = True,
     ) -> None:
-        if chunks_per_worker < 1:
-            raise ConfigurationError("chunks_per_worker must be >= 1")
         self.workers = resolve_workers(workers)
-        self.chunks_per_worker = chunks_per_worker
         self.serial_fallback = serial_fallback
         self.stats = MapStats()
 
@@ -327,7 +324,7 @@ class ParallelMap:
         return chunk.results
 
     def _map_processes(self, fn: Callable, items: Sequence) -> list:
-        slices = _chunk_slices(len(items), self.workers * self.chunks_per_worker)
+        slices = _chunk_slices(len(items), self.workers * _CHUNKS_PER_WORKER)
         trace_pid = os.getpid() if OBS.enabled else None
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = [
@@ -405,9 +402,3 @@ class ParallelMap:
                 OBS.metrics.counter("runtime.parallel.fallbacks").inc()
         return results
 
-
-def parallel_map(
-    fn: Callable, items: Iterable, workers: int | None = 1
-) -> list:
-    """One-shot convenience wrapper around :class:`ParallelMap`."""
-    return ParallelMap(workers=workers).map(fn, items)

@@ -27,15 +27,17 @@ per-slot reductions -- which is what this module does:
 
 Eligibility is conservative: the kernel runs only for the reference
 hybrid plant (``HybridPowerSource`` + ``FCSystem`` + supercap/ideal
-storage) under a *trace-functional* controller
-(:attr:`~repro.core.baselines.SourceController.is_trace_functional`).
-Two adaptive controllers get dedicated native passes: ASAP-DPM's
-storage-coupled recharge hysteresis plays out over precomputed per-mode
-arrays, and FC-DPM's learned inputs (the Eq. 14/15 exponential filters
-and the active-current running mean) are scan-compiled up front so only
-the storage-coupled slot solves run sequentially (:func:`_run_fc`).
-Everything else -- other adaptive controllers, exotic plants, recording
-runs, manual ``record_history`` -- falls back to the scalar
+storage) under one of the controller types in
+:data:`_KERNEL_CONTROLLERS`, matched exactly (a subclass may override
+the semantics a pass replicates).  Each type has its own pass:
+Conv-DPM and the static sweep controller hold one constant output
+(:func:`_run_const`); ASAP-DPM's storage-coupled recharge hysteresis
+plays out over precomputed per-mode arrays (:func:`_run_asap`); and
+FC-DPM's learned inputs (the Eq. 14/15 exponential filters and the
+active-current running mean) are scan-compiled up front so only the
+storage-coupled slot solves run sequentially (:func:`_run_fc`).
+Everything else -- other controllers, exotic plants, recording runs,
+manual ``record_history`` -- falls back to the scalar
 :class:`~repro.sim.slotsim.SlotSimulator`: never a wrong answer, only a
 slower one.
 
@@ -59,9 +61,7 @@ import numpy as np
 
 from ..core.baselines import (
     ASAPDPMController,
-    SegmentContext,
-    SlotActuals,
-    SlotStart,
+    ConvDPMController,
     StaticController,
 )
 from ..core.fc_dpm import FCDPMController
@@ -74,10 +74,13 @@ from ..fuelcell.system import FCSystem
 from ..obs import OBS
 from ..power.hybrid import HybridPowerSource
 from ..power.storage import IdealStorage, SuperCapacitor
-from ..prediction.exponential import exponential_average_scan
+from ..prediction.exponential import (
+    ExponentialAveragePredictor,
+    exponential_average_scan,
+)
 from ..runtime.memo import solve_slot_memo
 from ..runtime import parallel
-from .integrator import KIND_NAMES, chunk_slot_arrays, plan_slot_arrays
+from .integrator import chunk_slot_arrays, plan_slot_arrays
 from .slotsim import SimulationResult, SlotResult, SlotSimulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,8 +105,8 @@ class TraceArrays:
 
     One row per executed segment, in execution order; slot boundaries
     and the idle/active split are kept as index arrays so per-slot
-    reductions and the generic controller replay can address segments
-    without re-planning.
+    reductions and the kernel passes can address segments without
+    re-planning.
     """
 
     #: Segment length (s), one per segment.
@@ -396,6 +399,29 @@ def _fuel_currents(fc: FCSystem, realized: np.ndarray) -> np.ndarray:
     return np.where(realized == 0.0, 0.0, i_fc)
 
 
+def _realize_constant(fc: FCSystem, cmd: float) -> tuple[float, float]:
+    """Scalar ``(realized output, fuel current)`` for one held command.
+
+    The exact ``FCSystem.set_output(cmd, clamp=True)`` /
+    ``fc_current()`` expressions, evaluated once for a command every
+    segment shares; the Python floats broadcast through the per-segment
+    array arithmetic unchanged.
+    """
+    model = fc.model
+    if fc.allow_zero_output and cmd == 0.0:
+        realized = 0.0
+    else:
+        realized = min(max(cmd, model.if_min), model.if_max)
+    return realized, (0.0 if realized == 0.0 else model.fc_current(realized))
+
+
+def _constant_command(controller) -> float:
+    """The held output of a constant controller (Conv-DPM or static)."""
+    if type(controller) is ConvDPMController:
+        return float(controller.model.if_max)
+    return float(controller.i_f)
+
+
 def _storage_deltas(
     storage, i_f: np.ndarray, i_load: np.ndarray, durations: np.ndarray
 ) -> np.ndarray:
@@ -410,12 +436,24 @@ def _storage_deltas(
 # -- eligibility -------------------------------------------------------------
 
 
+#: The controller types the kernels run -- the paper's three source
+#: policies (Section 5) plus the static sweep instrument -- each with its
+#: own pass in this module and in :mod:`repro.sim.stacked`.  Matched by
+#: exact type: a subclass may override any semantics a pass replicates,
+#: so it routes to the scalar simulator.
+_KERNEL_CONTROLLERS = (
+    ConvDPMController,
+    StaticController,
+    ASAPDPMController,
+    FCDPMController,
+)
+
 #: Human-readable ineligibility reasons mapped (by prefix) to the short
 #: label used on the ``sim.fast_ineligible{reason=...}`` counter.  The
-#: controller prefixes are ordered most-specific first: a scan-capable
-#: adaptive controller blocked by its predictors or its policy coupling
-#: reports differently from one with no array form at all, so ``trace
-#: summary`` shows *why* a run routed scalar.
+#: controller prefixes are ordered most-specific first: FC-DPM blocked by
+#: its predictors or its policy coupling reports differently from a
+#: controller with no kernel pass at all, so ``trace summary`` shows
+#: *why* a run routed scalar.
 _REASON_KEYS = (
     ("recording requested", "record"),
     ("source type", "source-type"),
@@ -464,18 +502,19 @@ def fast_path_ineligibility(
     if source.record_history:
         return "source.record_history is enabled"
     controller = manager.controller
-    if not controller.is_trace_functional:
-        if type(controller) is FCDPMController:
+    if type(controller) not in _KERNEL_CONTROLLERS:
+        return f"controller {type(controller).__name__} has no kernel pass"
+    if type(controller) is FCDPMController:
+        if (
+            type(controller.idle_length_predictor) is not ExponentialAveragePredictor
+            or type(controller.active_length_predictor)
+            is not ExponentialAveragePredictor
+        ):
             return (
                 "controller predictors are not scan-compilable "
                 "(FC-DPM's fast path needs exact "
-                "ExponentialAveragePredictor instances); "
-                "controller FCDPMController is not trace-functional"
+                "ExponentialAveragePredictor instances)"
             )
-        return (
-            f"controller {type(controller).__name__} is not trace-functional"
-        )
-    if type(controller) is FCDPMController:
         # The predictor scans assume each predictor sees exactly one
         # predict/observe pair per slot.  That holds for the standard
         # wirings -- the controller observing its own idle predictor,
@@ -539,116 +578,22 @@ class _KernelRun:
     const_i_f: float | None = None
 
 
-def _controller_commands(
-    manager: "PowerManager", plan: TraceArrays, trace: "LoadTrace"
-) -> np.ndarray:
-    """Commanded output current per segment for a trace-functional controller.
+def _run_const(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
+    """Array pass for the constant-output controllers (Conv-DPM, static).
 
-    Prefers the controller's closed-form
-    :meth:`~repro.core.baselines.SourceController.output_array` hook;
-    otherwise replays :meth:`output` segment by segment with the scalar
-    call order (slot lifecycle callbacks included) and the storage
-    context fields poisoned to NaN -- a controller that claims to be
-    trace-functional but reads storage state produces NaN results
-    instead of silently wrong ones.
-    """
-    controller = manager.controller
-    commands = controller.output_array(plan)
-    if commands is not None:
-        return np.asarray(commands, dtype=float)
-    nan = float("nan")
-    device = manager.device
-    out = np.empty(plan.n_segments, dtype=float)
-    durations = plan.duration.tolist()
-    loads = plan.i_load.tolist()
-    kinds = plan.kind.tolist()
-    bounds = plan.slot_bounds.tolist()
-    astart = plan.active_start.tolist()
-    slept = plan.slept.tolist()
-    for s, slot in enumerate(trace):
-        controller.on_idle_start(
-            SlotStart(
-                slot_index=s,
-                sleeping=slept[s],
-                i_idle=device.i_slp if slept[s] else device.i_sdb,
-                storage_charge=nan,
-            )
-        )
-        for phase, lo, hi in (
-            ("idle", bounds[s], astart[s]),
-            ("active", astart[s], bounds[s + 1]),
-        ):
-            # The remaining-phase lookahead, derived exactly as
-            # run_phase does: sequential sums over the phase.
-            remaining = 0.0
-            demand = 0.0
-            for k in range(lo, hi):
-                remaining += durations[k]
-                demand += durations[k] * loads[k]
-            for k in range(lo, hi):
-                out[k] = controller.output(
-                    SegmentContext(
-                        slot_index=s,
-                        phase=phase,
-                        kind=KIND_NAMES[kinds[k]],
-                        duration=durations[k],
-                        i_load=loads[k],
-                        storage_charge=nan,
-                        storage_capacity=nan,
-                        phase_duration=remaining,
-                        phase_demand=demand,
-                    )
-                )
-                remaining -= durations[k]
-                demand -= loads[k] * durations[k]
-        controller.on_slot_end(
-            SlotActuals(
-                slot_index=s,
-                t_idle=slot.t_idle,
-                t_active=slot.t_active,
-                i_active=slot.i_active,
-            )
-        )
-    return out
-
-
-def _run_from_plan(
-    manager: "PowerManager", plan: TraceArrays, commands: np.ndarray
-) -> _KernelRun | None:
-    """Array pass for storage-independent command sequences.
-
-    Returns None when a finite fuel tank would deplete mid-run -- the
-    caller reruns the scalar path, which raises the exact
-    ``DepletedError`` at the exact segment.
+    Realizes and maps the held command once with the exact scalar
+    expressions (:func:`_realize_constant`), then broadcasts it through
+    the fuel, delta and storage arithmetic.  Returns None when a finite
+    fuel tank would deplete mid-run -- the caller reruns the scalar
+    path, which raises the exact ``DepletedError`` at the exact segment.
     """
     source = manager.source
     fc = source.fc
     storage = source.storage
-    n = plan.n_segments
-    const_i_f = None
-    if n and commands[0] == commands[-1] and not bool(np.any(commands != commands[0])):
-        # Constant command sequence (conv-dpm, static controllers):
-        # realize and map once with the exact scalar expressions, then
-        # broadcast.  A NaN-poisoned sequence never matches (NaN !=
-        # NaN) and keeps the elementwise path.
-        model = fc.model
-        cmd0 = float(commands[0])
-        if fc.allow_zero_output and cmd0 == 0.0:
-            r0 = 0.0
-        else:
-            r0 = min(max(cmd0, model.if_min), model.if_max)
-        const_i_f = r0
-        # Python floats, not np.full arrays: every downstream use is a
-        # broadcasting numpy expression, and a scalar broadcast is the
-        # identical elementwise operation without the allocation.
-        realized = r0
-        i_fc = 0.0 if r0 == 0.0 else model.fc_current(r0)
-    else:
-        realized = _realize_commands(fc, commands)
-        i_fc = _fuel_currents(fc, realized)
+    realized, i_fc = _realize_constant(fc, _constant_command(manager.controller))
     fuel = i_fc * plan.duration
     tank = fc.tank
-    if math.isfinite(tank.capacity) and plan.n_segments:
+    if math.isfinite(tank.capacity):
         consumed = _running_sums(tank.consumed, fuel)
         # Exact scalar depletion test: request > capacity - consumed-so-far.
         if bool(np.any(fuel > tank.capacity - consumed[:-1])):
@@ -662,7 +607,7 @@ def _run_from_plan(
         deficit=storage.deficit_charge,
     )
     return _KernelRun(
-        realized, i_fc, fuel, charges, bled, deficit, None, const_i_f
+        realized, i_fc, fuel, charges, bled, deficit, None, realized
     )
 
 
@@ -688,12 +633,7 @@ def _run_asap(manager: "PowerManager", plan: TraceArrays) -> _KernelRun | None:
     fuel_follow = ifc_follow * plan.duration
     delta_follow = _storage_deltas(storage, real_follow, plan.i_load, plan.duration)
 
-    cmd_re = model.if_max
-    if cmd_re == 0.0 and fc.allow_zero_output:
-        real_re = 0.0
-    else:
-        real_re = min(max(cmd_re, model.if_min), model.if_max)
-    ifc_re = 0.0 if real_re == 0.0 else model.fc_current(real_re)
+    real_re, ifc_re = _realize_constant(fc, model.if_max)
     # Scalars broadcast through every expression below -- same
     # elementwise arithmetic as materialized np.full columns.
     fuel_re = ifc_re * plan.duration
@@ -777,11 +717,8 @@ def _fc_scan_seeds(manager: "PowerManager") -> tuple[float, float] | None:
 def _run_fc(
     manager: "PowerManager",
     plan: TraceArrays,
-    trace: "LoadTrace | None",
+    trace: "LoadTrace",
     seeds: tuple[float, float],
-    *,
-    slots: tuple[list, list, list] | None = None,
-    scans: tuple | None = None,
 ) -> _KernelRun | None:
     """Native pass for FC-DPM: scan-compiled predictors + live slot solver.
 
@@ -800,13 +737,6 @@ def _run_fc(
     committed only on success; a finite tank that would deplete mid-run
     returns None with the manager untouched (beyond ``start_run``), so
     the caller's scalar rerun sees pristine state.
-
-    The stacked batch driver passes pre-extracted slot columns via
-    ``slots`` (so no ``trace`` walk happens here) and pre-sliced rows of
-    its batched predictor scans via ``scans`` -- ``(idle_preds,
-    idle_final, active_preds, active_final)``, with the idle pair None
-    when nobody observes the idle predictor.  Both default to the
-    single-trace computation and are bit-identical to it.
     """
     controller = manager.controller
     source = manager.source
@@ -816,32 +746,26 @@ def _run_fc(
     device = manager.device
     n_slots = plan.n_slots
 
-    if slots is not None:
-        t_idles, t_actives, i_actives = slots
-    else:
-        t_idles = [slot.t_idle for slot in trace]
-        t_actives = [slot.t_active for slot in trace]
-        i_actives = [slot.i_active for slot in trace]
+    t_idles = [slot.t_idle for slot in trace]
+    t_actives = [slot.t_active for slot in trace]
+    i_actives = [slot.i_active for slot in trace]
 
     idle_pred = controller.idle_length_predictor
     active_pred = controller.active_length_predictor
     est_idle0, est_active0 = seeds
     policy_feeds_idle = getattr(manager.policy, "predictor", None) is idle_pred
-    if scans is not None:
-        idle_preds, idle_final, active_preds, active_final = scans
-    else:
-        if controller.observes_idle or policy_feeds_idle:
-            idle_preds, idle_final = exponential_average_scan(
-                idle_pred.factor, est_idle0, t_idles
-            )
-        else:
-            # Nobody observes the controller's idle predictor during the
-            # run: it predicts its frozen pre-run estimate every slot.
-            idle_preds = None
-            idle_final = None
-        active_preds, active_final = exponential_average_scan(
-            active_pred.factor, est_active0, t_actives
+    if controller.observes_idle or policy_feeds_idle:
+        idle_preds, idle_final = exponential_average_scan(
+            idle_pred.factor, est_idle0, t_idles
         )
+    else:
+        # Nobody observes the controller's idle predictor during the
+        # run: it predicts its frozen pre-run estimate every slot.
+        idle_preds = None
+        idle_final = None
+    active_preds, active_final = exponential_average_scan(
+        active_pred.factor, est_active0, t_actives
+    )
     # Problem columns, floored array-natively (np.maximum matches the
     # scalar max() bitwise here: no signed-zero tie against 1e-6).  A
     # frozen idle predictor contributes one constant, not a list.
@@ -903,8 +827,8 @@ def _run_fc(
     i_slp = device.i_slp
 
     # The active-current running mean (i_est at slot k uses the sum over
-    # slots < k) is trace-functional: precompute the whole series with a
-    # seeded cumsum that replays the scalar ``+=`` fold bit for bit.
+    # slots < k) depends on the trace alone: precompute the whole series
+    # with a seeded cumsum that replays the scalar ``+=`` fold bit for bit.
     if n_slots:
         sums = _running_sums(acs, np.asarray(i_actives, dtype=float))
         acs_final = float(sums[-1])
@@ -1231,8 +1155,7 @@ def _simulate_fast_planned(
     elif controller_type is FCDPMController:
         run = _run_fc(manager, plan, trace, fc_seeds)
     else:
-        commands = _controller_commands(manager, plan, trace)
-        run = _run_from_plan(manager, plan, commands)
+        run = _run_const(manager, plan)
     if run is None:
         return None
     return _assemble_result(manager, plan, run, max_deficit_fraction)
@@ -1254,8 +1177,8 @@ def simulate_fast(
     Returns a :class:`~repro.sim.slotsim.SimulationResult` equal (``==``,
     every field) to ``SlotSimulator(manager, ...).run(trace)`` and
     leaves the manager in the same end state.  Configurations the array
-    kernel cannot represent -- adaptive controllers, non-reference
-    plants, recording runs (see :func:`fast_path_ineligibility`) -- run
+    kernel cannot represent -- controllers without a kernel pass,
+    non-reference plants, recording runs (see :func:`fast_path_ineligibility`) -- run
     the scalar simulator transparently: never a wrong answer, only a
     slower one.
     """

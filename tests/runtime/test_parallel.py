@@ -8,7 +8,6 @@ from repro.runtime.parallel import (
     MapStats,
     ParallelMap,
     _chunk_slices,
-    parallel_map,
     resolve_workers,
 )
 
@@ -104,7 +103,7 @@ class TestProcess:
             ParallelMap(workers=2).map(_boom, list(range(4)))
 
     def test_one_shot_wrapper(self):
-        assert parallel_map(_square, [2, 3], workers=2) == [4, 9]
+        assert ParallelMap(workers=2).map(_square, [2, 3]) == [4, 9]
 
 
 class TestStats:
@@ -124,10 +123,6 @@ class TestStats:
         assert stats.mean_task_time == 0.0
         assert stats.total_task_time == 0.0
         assert stats.parallel_efficiency == 0.0
-
-    def test_invalid_chunks_per_worker(self):
-        with pytest.raises(ConfigurationError):
-            ParallelMap(workers=1, chunks_per_worker=0)
 
 
 @pytest.mark.skipif(
